@@ -110,10 +110,6 @@ func dataKey(data any) uintptr { return dataid.Key(data) }
 // shape as data, used by the renaming engine.
 func allocLike(data any) func() any { return dataid.AllocLike(data) }
 
-// byteSize returns the storage footprint of a data argument, used to
-// account renamed memory against Config.MemoryLimit.
-func byteSize(data any) int64 { return dataid.ByteSize(data) }
-
 // copyInto copies src's contents into dst; both must have the shape
 // produced by allocLike for the same exemplar.
 func copyInto(dst, src any) { dataid.CopyInto(dst, src) }

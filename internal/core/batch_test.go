@@ -105,30 +105,6 @@ func TestTrackerShardsConfig(t *testing.T) {
 	}
 }
 
-// TestLegacyAblationConfig runs the pre-overhaul configuration (list
-// scheduler, condvar wakeup, per-arg analysis) end to end: the ablation
-// baseline must stay a working runtime, not a museum piece.
-func TestLegacyAblationConfig(t *testing.T) {
-	rt := New(Config{
-		Workers:           4,
-		Scheduler:         SchedLegacyLists,
-		TrackerShards:     1,
-		UnbatchedAnalysis: true,
-		LegacyWakeup:      true,
-	})
-	x := make([]float32, 8)
-	y := make([]float32, 8)
-	rt.Submit(fillDef, Out(x), Value(3.0))
-	rt.Submit(fillDef, Out(y), Value(1.0))
-	rt.Submit(axpyDef, In(x), InOut(y), Value(1.0))
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 4 {
-		t.Fatalf("y[0] = %v, want 4", y[0])
-	}
-}
-
 // TestWorkStealingStatsExercised checks the runtime actually drives the
 // new scheduler machinery under a fan-out workload: own-deque pushes and
 // pops must dominate, and nothing may be lost.

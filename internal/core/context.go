@@ -42,8 +42,8 @@ func (p FailurePolicy) String() string {
 }
 
 // ContextConfig parameterizes one Context on a shared pool.  The fields
-// mirror the graph-state half of Config; worker-count and wakeup
-// machinery live in PoolConfig.
+// mirror the graph-state half of Config; worker count and elasticity
+// live in PoolConfig.
 type ContextConfig struct {
 	// Scheduler selects the context's scheduling policy; default
 	// SchedLocality.  Each context has its own policy instance, so
@@ -56,9 +56,6 @@ type ContextConfig struct {
 	// DisableRenaming turns off the renaming engine, materializing
 	// WAR/WAW hazards as real edges (ablation).
 	DisableRenaming bool
-	// LegacyRenaming restores the seed runtime's rename lifecycle
-	// (ablation baseline; see Config.LegacyRenaming).
-	LegacyRenaming bool
 	// GraphLimit bounds the number of open (submitted, not completed)
 	// tasks before Submit throttles.  Zero selects DefaultGraphLimit;
 	// negative disables throttling.
@@ -66,9 +63,6 @@ type ContextConfig struct {
 	// TrackerShards sets the dependency tracker's lock-stripe count
 	// (see Config.TrackerShards).
 	TrackerShards int
-	// UnbatchedAnalysis selects the per-parameter lock round-trip
-	// submission path (ablation; see Config.UnbatchedAnalysis).
-	UnbatchedAnalysis bool
 	// MemoryLimit bounds the bytes of live renamed storage belonging to
 	// this context; when exceeded, the submitting thread executes tasks
 	// until renamed memory is released (paper §III).  Zero disables the
@@ -120,17 +114,16 @@ type Context struct {
 	q     *sched.Client
 	tracr *trace.Tracer
 
-	outstanding  atomic.Int64
-	submitted    atomic.Int64
-	executed     atomic.Int64
-	mainHelped   atomic.Int64
-	syncCopies   atomic.Int64
-	waiters      atomic.Int64
-	renamedBytes atomic.Int64
-	chainHits    atomic.Int64
-	failures     atomic.Int64
-	poisonSkips  atomic.Int64
-	cancelSkips  atomic.Int64
+	outstanding atomic.Int64
+	submitted   atomic.Int64
+	executed    atomic.Int64
+	mainHelped  atomic.Int64
+	syncCopies  atomic.Int64
+	waiters     atomic.Int64
+	chainHits   atomic.Int64
+	failures    atomic.Int64
+	poisonSkips atomic.Int64
+	cancelSkips atomic.Int64
 
 	// errMu guards the two sticky error latches.  firstErr is the first
 	// task failure (clearable with ClearErr); cancelErr is set once by
@@ -176,7 +169,6 @@ func (p *Pool) NewContext(cfg ContextConfig) (*Context, error) {
 	c.tr = deps.NewTrackerShards(c.g, cfg.TrackerShards)
 	c.tr.ShareStorage(p.store)
 	c.tr.DisableRenaming = cfg.DisableRenaming
-	c.tr.LegacyRenaming = cfg.LegacyRenaming
 	c.tr.AffinityHints = cfg.Locality.Affinity
 	// Reclaimed renamed storage wakes this context's submitter when it
 	// blocks on the memory limit — the parked wait's signal (paper §III).
@@ -300,24 +292,11 @@ func (c *Context) Stats() Stats {
 		RenamesElided:    d.RenamesElided,
 		PoolHits:         d.PoolHits,
 		PoolMisses:       d.PoolMisses,
-		LiveRenamedBytes: c.liveRenamedBytes(),
+		LiveRenamedBytes: c.tr.LiveRenamedBytes(),
 		Failures:         c.failures.Load(),
 		Poisoned:         c.poisonSkips.Load(),
 		Canceled:         c.cancelSkips.Load(),
 	}
-}
-
-// liveRenamedBytes returns the memory-limit gauge: bytes of renamed
-// storage alive in this context right now.  Under LegacyRenaming the
-// seed's per-task accounting applies (bytes pinned by incomplete
-// tasks); otherwise the tracker pool's acquire/release gauge, which
-// also covers storage kept alive by diverged objects after their tasks
-// completed.
-func (c *Context) liveRenamedBytes() int64 {
-	if c.cfg.LegacyRenaming {
-		return c.renamedBytes.Load()
-	}
-	return c.tr.LiveRenamedBytes()
 }
 
 // Submit invokes a task: the runtime analyzes each parameter's
@@ -394,13 +373,16 @@ func (c *Context) throttle() {
 		}
 	}
 	if limit := c.cfg.MemoryLimit; limit > 0 {
-		for c.liveRenamedBytes() >= limit {
+		// The gauge is the tracker's acquire/release count of renamed
+		// storage alive right now, which also covers storage kept alive
+		// by diverged objects after their tasks completed.
+		for c.tr.LiveRenamedBytes() >= limit {
 			if c.outstanding.Load() == 0 {
 				c.syncCopies.Add(int64(c.tr.SyncAll()))
 				break
 			}
 			c.helpOnce(func() bool {
-				return c.liveRenamedBytes() < limit || c.outstanding.Load() == 0
+				return c.tr.LiveRenamedBytes() < limit || c.outstanding.Load() == 0
 			})
 		}
 	}
@@ -431,25 +413,11 @@ func (c *Context) submitOne(def *TaskDef, args []Arg) {
 			ixs = append(ixs, i)
 		}
 	}
-	var ress []deps.Resolution
-	if c.cfg.UnbatchedAnalysis {
-		ress = c.resBuf[:0]
-		for j := range accs {
-			ress = append(ress, c.tr.Analyze(node, accs[j]))
-		}
-	} else {
-		ress = c.tr.AnalyzeBatch(node, accs, c.resBuf[:0])
-	}
+	ress := c.tr.AnalyzeBatch(node, accs, c.resBuf[:0])
 	for j := range ress {
 		res := &ress[j]
 		i := ixs[j]
 		if res.Renamed {
-			if c.cfg.LegacyRenaming {
-				// Seed accounting: the bytes pin against the task and
-				// drain at its completion.  The pooled lifecycle
-				// accounts on acquire/release inside the tracker.
-				rec.renamedBytes += byteSize(args[i].data)
-			}
 			c.tracr.EmitCtx(c.id, c.slot, trace.EvRename, def.kind, def.Name, node.ID)
 		}
 		rec.args[i] = boundArg{
@@ -470,7 +438,6 @@ func (c *Context) submitOne(def *TaskDef, args []Arg) {
 	c.accBuf, c.resBuf, c.ixBuf = accs, ress, ixs
 	c.submitted.Add(1)
 	c.outstanding.Add(1)
-	c.renamedBytes.Add(rec.renamedBytes)
 	c.tracr.EmitCtx(c.id, c.slot, trace.EvCreate, def.kind, def.Name, node.ID)
 	c.g.Seal(node)
 }
@@ -531,9 +498,6 @@ func (c *Context) exec(n *graph.Node, self int) {
 			// Skips complete without executing, so TasksExecuted keeps
 			// meaning "bodies run"; the skip counters hold the rest.
 			c.executed.Add(1)
-		}
-		if rec.renamedBytes != 0 {
-			c.renamedBytes.Add(-rec.renamedBytes)
 		}
 		if c.outstanding.Add(-1) == 0 || c.waiters.Load() > 0 {
 			// Wake this context's blocked Barrier/WaitOn/throttle caller so

@@ -107,32 +107,6 @@ func TestMemoryLimitIdleDivergenceSyncs(t *testing.T) {
 	}
 }
 
-// TestLegacyRenamingConfig: the ablation baseline must reproduce the
-// seed lifecycle — renames without pool traffic or elision counting,
-// per-task byte accounting draining at the barrier — with identical
-// program semantics.
-func TestLegacyRenamingConfig(t *testing.T) {
-	rt := New(Config{Workers: 4, LegacyRenaming: true, MemoryLimit: 16 << 10})
-	defer rt.Close()
-	x, y := churnRounds(rt, 50, 1024)
-	if err := rt.Barrier(); err != nil {
-		t.Fatal(err)
-	}
-	st := rt.Stats()
-	if st.Renames == 0 {
-		t.Fatalf("legacy mode must still rename: %+v", st)
-	}
-	if st.PoolHits != 0 || st.PoolMisses != 0 || st.RenamesElided != 0 {
-		t.Fatalf("legacy mode must not drive the pool or elide: %+v", st)
-	}
-	if st.LiveRenamedBytes != 0 {
-		t.Fatalf("legacy per-task accounting leaked %d bytes", st.LiveRenamedBytes)
-	}
-	if x[0] != 1 || y[0] != 50 {
-		t.Fatalf("results corrupted: x[0]=%v y[0]=%v", x[0], y[0])
-	}
-}
-
 // regionAddDef adds a delta over the [lo, lo+n) range of its inout
 // parameter; the region restriction is declared at the call site.
 var regionAddDef = NewTaskDef("radd", func(a *Args) {

@@ -20,10 +20,6 @@ const (
 	// SchedGlobalFIFO is the ablation policy: one central FIFO queue,
 	// the structure of SuperMatrix (paper §VII.C).
 	SchedGlobalFIFO
-	// SchedLegacyLists is the seed runtime's list-based locality policy
-	// (unbounded per-worker lists, single-task FIFO steals), kept so the
-	// scheduler-overhaul ablation measures against the real predecessor.
-	SchedLegacyLists
 )
 
 // LocalityConfig gates the scheduler's locality layer: the paper's
@@ -69,12 +65,6 @@ type Config struct {
 	// DisableRenaming turns off the renaming engine, materializing
 	// WAR/WAW hazards as real edges (ablation).
 	DisableRenaming bool
-	// LegacyRenaming restores the seed runtime's rename lifecycle: a
-	// fresh heap allocation per rename, superseded versions abandoned
-	// to the garbage collector, and renamed bytes accounted against
-	// the owning task instead of against live storage.  Kept as the
-	// measured baseline for the ablation-rename experiment.
-	LegacyRenaming bool
 	// GraphLimit bounds the number of open (submitted, not completed)
 	// tasks before Submit throttles.  Zero selects DefaultGraphLimit;
 	// negative disables throttling.
@@ -84,15 +74,6 @@ type Config struct {
 	// power of two); one degenerates to a single global mutex — the
 	// ablation baseline.
 	TrackerShards int
-	// UnbatchedAnalysis makes every parameter enter the dependency
-	// tracker through its own lock round-trip instead of one batched
-	// shard-lock pass per task — the pre-overhaul submission path, kept
-	// as an ablation so the batching win stays measurable.
-	UnbatchedAnalysis bool
-	// LegacyWakeup replaces the per-worker parking protocol with the
-	// seed's global mutex+condvar (broadcast on every push while anyone
-	// sleeps) — the pre-overhaul wake machinery, kept as an ablation.
-	LegacyWakeup bool
 	// MemoryLimit bounds the bytes of renamed storage belonging to
 	// tasks that have not completed yet; when exceeded, the submitting
 	// thread executes tasks until renamed memory is released — the
@@ -116,18 +97,16 @@ type Config struct {
 // contextConfig extracts the per-context half of a Config.
 func (cfg Config) contextConfig() ContextConfig {
 	return ContextConfig{
-		Scheduler:         cfg.Scheduler,
-		Locality:          cfg.Locality,
-		DisableRenaming:   cfg.DisableRenaming,
-		LegacyRenaming:    cfg.LegacyRenaming,
-		GraphLimit:        cfg.GraphLimit,
-		TrackerShards:     cfg.TrackerShards,
-		UnbatchedAnalysis: cfg.UnbatchedAnalysis,
-		MemoryLimit:       cfg.MemoryLimit,
-		Tracer:            cfg.Tracer,
-		Recorder:          cfg.Recorder,
-		OnFailure:         cfg.OnFailure,
-		Deadline:          cfg.Deadline,
+		Scheduler:       cfg.Scheduler,
+		Locality:        cfg.Locality,
+		DisableRenaming: cfg.DisableRenaming,
+		GraphLimit:      cfg.GraphLimit,
+		TrackerShards:   cfg.TrackerShards,
+		MemoryLimit:     cfg.MemoryLimit,
+		Tracer:          cfg.Tracer,
+		Recorder:        cfg.Recorder,
+		OnFailure:       cfg.OnFailure,
+		Deadline:        cfg.Deadline,
 	}
 }
 
@@ -195,11 +174,7 @@ func New(cfg Config) *Runtime {
 	cfg.Workers = resolveWorkers(cfg.Workers)
 	// One submitter slot (the main thread, worker 0) plus Workers-1
 	// dedicated workers reproduces the seed's thread layout exactly.
-	pool := newPool(PoolConfig{
-		Workers:      cfg.Workers - 1,
-		MaxContexts:  1,
-		LegacyWakeup: cfg.LegacyWakeup,
-	})
+	pool := newPool(PoolConfig{Workers: cfg.Workers - 1, MaxContexts: 1})
 	ctx, err := pool.NewContext(cfg.contextConfig())
 	if err != nil {
 		// A fresh single-slot pool cannot refuse its first context.
@@ -241,7 +216,7 @@ func (rt *Runtime) Cancel() { rt.ctx.Cancel() }
 
 // liveRenamedBytes is the context's memory-limit gauge (kept on the
 // wrapper for the white-box tests that probe it).
-func (rt *Runtime) liveRenamedBytes() int64 { return rt.ctx.liveRenamedBytes() }
+func (rt *Runtime) liveRenamedBytes() int64 { return rt.ctx.tr.LiveRenamedBytes() }
 
 // Submit invokes a task: the runtime analyzes each parameter's
 // directionality against the current state of its data, adds the task to

@@ -59,9 +59,6 @@ type taskRec struct {
 	def  *TaskDef
 	ctx  *Context
 	args []boundArg
-	// renamedBytes is the storage this task's renamed parameters pin
-	// until it completes (accounted against Config.MemoryLimit).
-	renamedBytes int64
 }
 
 // Args gives a task body access to its effective parameters.  Renaming

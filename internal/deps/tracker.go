@@ -88,16 +88,14 @@ type Resolution struct {
 // version is one single-assignment instance of an object.  Versions form
 // a chain: each write (out/inout) opens a new one.
 //
-// In the default (pooled) lifecycle each version is reference-counted:
+// Each version is reference-counted:
 // refs holds one count while the version is the object's current
 // version, one while its producer is pending, one per live reader and
 // one per renamed-inout successor that still has to copy from it.
 // Completion observers on the graph nodes count the references down the
 // moment each task finishes; when a *retired* (superseded, synced or
 // forgotten) version drains to zero and owns pooled storage, that
-// storage returns to the tracker's recycling pool.  Under
-// LegacyRenaming none of this runs and superseded versions are
-// abandoned to the garbage collector, as in the seed runtime.
+// storage returns to the tracker's recycling pool.
 type version struct {
 	// producer is the task writing this version; nil for the initial
 	// version (data that existed before any task wrote it).
@@ -294,13 +292,6 @@ type Tracker struct {
 	// WAR/WAW edges.  Used by the ablation benchmarks.
 	DisableRenaming bool
 
-	// LegacyRenaming restores the seed runtime's rename lifecycle: a
-	// fresh heap allocation per rename, hazard checks by lazy Done()
-	// scans over reader lists, and superseded versions abandoned to the
-	// garbage collector.  Kept as the measured baseline for the
-	// ablation-rename experiment.  Must be set before the first access.
-	LegacyRenaming bool
-
 	// AffinityHints makes analysis record on each task node the worker
 	// that produced the version it accesses, when that producer has
 	// already completed: the scheduler's cue for placing a task that is
@@ -381,7 +372,6 @@ func (t *Tracker) ShareStorage(st *Storage) { t.pool.Share(st) }
 
 // LiveRenamedBytes returns the bytes of renamed storage currently
 // acquired and not yet reclaimed — the runtime's memory-limit gauge.
-// Always zero under LegacyRenaming (the seed accounts per task instead).
 func (t *Tracker) LiveRenamedBytes() int64 { return t.pool.LiveBytes() }
 
 // SetReclaimHook registers f to run whenever renamed storage is
@@ -480,17 +470,6 @@ func (t *Tracker) analyzeLocked(sh *shard, node *graph.Node, a Access, holds *[]
 	obj := sh.lookup(a)
 	if obj.regioned || !a.Region.IsFull() {
 		return t.analyzeRegion(sh, node, obj, a)
-	}
-	if t.LegacyRenaming {
-		switch a.Mode {
-		case ModeIn:
-			return t.analyzeInLegacy(sh, node, obj)
-		case ModeOut:
-			return t.analyzeOutLegacy(sh, node, obj, a)
-		case ModeInOut:
-			return t.analyzeInOutLegacy(sh, node, obj, a)
-		}
-		panic("deps: invalid access mode")
 	}
 	switch a.Mode {
 	case ModeIn:
@@ -639,75 +618,6 @@ func (t *Tracker) analyzeInOut(sh *shard, node *graph.Node, obj *object, a Acces
 	nv := newVersion(node, res.Instance)
 	*holds = append(*holds, versionHold{v: nv})
 	t.supersede(obj, v, nv, renamed, bytes)
-	return res
-}
-
-// analyzeInLegacy is the seed runtime's read path: reader liveness by
-// lazy Done() scans, no reference counting.
-func (t *Tracker) analyzeInLegacy(sh *shard, node *graph.Node, obj *object) Resolution {
-	v := obj.cur
-	t.trueDep(sh, node, v)
-	t.hintAffinity(node, v)
-	v.pruneReaders()
-	v.readers = append(v.readers, node)
-	return Resolution{Instance: v.instance}
-}
-
-// analyzeOutLegacy is the seed runtime's output path: a fresh Alloc()
-// per rename, superseded versions left to the garbage collector.
-func (t *Tracker) analyzeOutLegacy(sh *shard, node *graph.Node, obj *object, a Access) Resolution {
-	v := obj.cur
-	v.pruneReaders()
-	hazard := v.producerPending() || len(v.readers) > 0
-	res := Resolution{Instance: v.instance}
-	if hazard {
-		if t.DisableRenaming {
-			if v.producerPending() {
-				t.g.AddEdge(v.producer, node) // WAW
-				sh.stats.FalseEdges++
-			}
-			for _, r := range v.readers {
-				t.g.AddEdge(r, node) // WAR
-				sh.stats.FalseEdges++
-			}
-		} else {
-			res.Instance = a.Alloc()
-			res.Renamed = true
-			obj.diverged = true
-			sh.stats.Renames++
-		}
-	}
-	if !res.Renamed {
-		t.hintAffinity(node, v) // in-place write only; see analyzeOut
-	}
-	obj.cur = newVersion(node, res.Instance)
-	return res
-}
-
-// analyzeInOutLegacy is the seed runtime's inout path.
-func (t *Tracker) analyzeInOutLegacy(sh *shard, node *graph.Node, obj *object, a Access) Resolution {
-	v := obj.cur
-	v.pruneReaders()
-	res := Resolution{Instance: v.instance}
-	t.trueDep(sh, node, v) // RAW: the task reads the old value
-	t.hintAffinity(node, v)
-	if len(v.readers) > 0 {
-		if t.DisableRenaming {
-			for _, r := range v.readers {
-				t.g.AddEdge(r, node) // WAR
-				sh.stats.FalseEdges++
-			}
-		} else {
-			res.Instance = a.Alloc()
-			res.CopyFrom = v.instance
-			res.Copy = a.Copy
-			res.Renamed = true
-			obj.diverged = true
-			sh.stats.Renames++
-			sh.stats.RenameCopies++
-		}
-	}
-	obj.cur = newVersion(node, res.Instance)
 	return res
 }
 
@@ -868,9 +778,7 @@ func (t *Tracker) SyncAll() int {
 	}
 	for _, w := range work {
 		w.copier(w.dst, w.src)
-		if !t.LegacyRenaming {
-			w.old.retire(&t.pool)
-		}
+		w.old.retire(&t.pool)
 	}
 	return len(work)
 }
@@ -889,12 +797,10 @@ func (t *Tracker) syncLocked(obj *object) bool {
 	old := obj.cur
 	obj.cur = newVersion(nil, obj.original)
 	obj.diverged = false
-	if !t.LegacyRenaming {
-		// Any late readers of the superseded renamed instance still
-		// hold references; the pool gets the instance back only when
-		// the last of them completes.
-		old.retire(&t.pool)
-	}
+	// Any late readers of the superseded renamed instance still hold
+	// references; the pool gets the instance back only when the last of
+	// them completes.
+	old.retire(&t.pool)
 	return true
 }
 
@@ -919,7 +825,5 @@ func (t *Tracker) Forget(key uintptr) {
 	if obj == nil {
 		return
 	}
-	if !t.LegacyRenaming {
-		obj.cur.retire(&t.pool)
-	}
+	obj.cur.retire(&t.pool)
 }

@@ -14,21 +14,32 @@ func mkNode(id int64, prio bool) *graph.Node {
 	return &graph.Node{ID: id, Priority: prio}
 }
 
+// TestQueueFIFOAndLIFO: the shared lists are FIFO queues; the LIFO end
+// the owner pops lives on its per-worker deque.
 func TestQueueFIFOAndLIFO(t *testing.T) {
 	var q queue
+	var d deque
+	d.init(4)
 	for i := int64(1); i <= 3; i++ {
 		q.pushBack(mkNode(i, false))
+		d.pushBack(mkNode(i, false))
 	}
 	if n := q.popFront(); n.ID != 1 {
 		t.Fatalf("popFront = %d, want 1", n.ID)
 	}
-	if n := q.popBack(); n.ID != 3 {
-		t.Fatalf("popBack = %d, want 3", n.ID)
+	if n := q.popFront(); n.ID != 2 {
+		t.Fatalf("popFront = %d, want 2", n.ID)
 	}
-	if n := q.popBack(); n.ID != 2 {
-		t.Fatalf("popBack = %d, want 2", n.ID)
+	if n := d.popBack(); n.ID != 3 {
+		t.Fatalf("deque popBack = %d, want 3", n.ID)
 	}
-	if q.popBack() != nil || q.popFront() != nil {
+	if n := d.popBack(); n.ID != 2 {
+		t.Fatalf("deque popBack = %d, want 2", n.ID)
+	}
+	if n := q.popFront(); n.ID != 3 {
+		t.Fatalf("popFront = %d, want 3", n.ID)
+	}
+	if q.popFront() != nil || q.size() != 0 {
 		t.Fatalf("empty queue must return nil")
 	}
 }
@@ -56,23 +67,26 @@ func TestQueueCompaction(t *testing.T) {
 }
 
 func TestQueueOrderProperty(t *testing.T) {
-	// Property: popping everything from the front returns push order;
-	// popping everything from the back returns reverse push order.
+	// Property: popping everything from the front returns push order,
+	// also when pops interleave with pushes.
 	f := func(raw []uint8) bool {
-		var q1, q2 queue
+		var q queue
+		next := int64(0)
 		for i := range raw {
-			q1.pushBack(mkNode(int64(i), false))
-			q2.pushBack(mkNode(int64(i), false))
-		}
-		for i := range raw {
-			if q1.popFront().ID != int64(i) {
-				return false
-			}
-			if q2.popBack().ID != int64(len(raw)-1-i) {
-				return false
+			q.pushBack(mkNode(int64(i), false))
+			if raw[i]%3 == 0 {
+				if q.popFront().ID != next {
+					return false
+				}
+				next++
 			}
 		}
-		return q1.size() == 0 && q2.size() == 0
+		for ; next < int64(len(raw)); next++ {
+			if q.popFront().ID != next {
+				return false
+			}
+		}
+		return q.size() == 0 && q.popFront() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
