@@ -390,6 +390,7 @@ func BenchmarkSubmitOverhead(b *testing.B) {
 	x := make([]float32, 1)
 	rt := core.New(core.Config{Workers: 2, GraphLimit: 4096})
 	defer rt.Close()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rt.Submit(empty, core.InOut(x))
@@ -409,6 +410,7 @@ func BenchmarkIndependentTaskThroughput(b *testing.B) {
 	for i := range cells {
 		cells[i] = make([]float32, 1)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rt.Submit(empty, core.InOut(cells[i%len(cells)]))

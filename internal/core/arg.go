@@ -105,11 +105,3 @@ func Opaque(v any) Arg { return Arg{kind: argOpaque, value: v} }
 // This mirrors the 2008 runtime, which keys its analysis on parameter
 // memory addresses.
 func dataKey(data any) uintptr { return dataid.Key(data) }
-
-// allocLike returns an allocator producing fresh storage with the same
-// shape as data, used by the renaming engine.
-func allocLike(data any) func() any { return dataid.AllocLike(data) }
-
-// copyInto copies src's contents into dst; both must have the shape
-// produced by allocLike for the same exemplar.
-func copyInto(dst, src any) { dataid.CopyInto(dst, src) }

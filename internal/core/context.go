@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/dataid"
 	"repro/internal/deps"
 	"repro/internal/graph"
 	"repro/internal/sched"
@@ -145,7 +146,13 @@ type Context struct {
 	accBuf []deps.Access
 	resBuf []deps.Resolution
 	ixBuf  []int
+	// argSlab is the unused tail of the current argument chunk that
+	// bindArgs carves task records' bindings from.
+	argSlab []boundArg
 }
+
+// argSlabChunk is the number of bindings one argument chunk holds.
+const argSlabChunk = 256
 
 // NewContext attaches a new context to the pool.  It returns a
 // ClosedError if the pool is closed and a ConfigError if every context
@@ -391,9 +398,9 @@ func (c *Context) throttle() {
 // submitOne adds one task to the graph: all data parameters are resolved
 // through a single batched tracker entry, then the node is sealed.
 func (c *Context) submitOne(def *TaskDef, args []Arg) {
-	node := c.g.AddNode(def.kind, def.Name, def.HighPriority, nil)
-	rec := &taskRec{def: def, ctx: c, args: make([]boundArg, len(args))}
-	node.Payload = rec
+	rec := &taskRec{def: def, ctx: c, args: c.bindArgs(len(args))}
+	node := &rec.node
+	c.g.Insert(node, def.kind, def.Name, def.HighPriority, rec)
 	accs := c.accBuf[:0]
 	ixs := c.ixBuf[:0]
 	for i := range args {
@@ -407,39 +414,50 @@ func (c *Context) submitOne(def *TaskDef, args []Arg) {
 				Mode:   a.mode,
 				Region: a.region,
 				Data:   a.data,
-				Alloc:  allocLike(a.data),
-				Copy:   copyInto,
+				Copy:   dataid.CopyInto,
 			})
 			ixs = append(ixs, i)
 		}
 	}
-	ress := c.tr.AnalyzeBatch(node, accs, c.resBuf[:0])
+	ress := c.tr.AnalyzeInto(node, accs, c.resBuf[:0], &rec.holds)
 	for j := range ress {
 		res := &ress[j]
 		i := ixs[j]
 		if res.Renamed {
 			c.tracr.EmitCtx(c.id, c.slot, trace.EvRename, def.kind, def.Name, node.ID)
 		}
-		rec.args[i] = boundArg{
-			kind:     argData,
-			instance: res.Instance,
-			copyFrom: res.CopyFrom,
-			copyFn:   res.Copy,
-		}
+		rec.args[i] = boundArg{kind: argData, instance: res.Instance, copyFrom: res.CopyFrom}
 	}
 	// Return the scratch to the context and drop the data references the
 	// entries hold, so reuse does not pin user arrays.
-	for j := range accs {
-		accs[j] = deps.Access{}
-	}
-	for j := range ress {
-		ress[j] = deps.Resolution{}
-	}
+	clear(accs)
+	clear(ress)
 	c.accBuf, c.resBuf, c.ixBuf = accs, ress, ixs
 	c.submitted.Add(1)
 	c.outstanding.Add(1)
 	c.tracr.EmitCtx(c.id, c.slot, trace.EvCreate, def.kind, def.Name, node.ID)
 	c.g.Seal(node)
+}
+
+// bindArgs returns a zeroed binding slice of length n carved from the
+// context's argument slab, so a task's bindings cost no allocation of
+// their own: a fresh argSlabChunk-sized chunk is allocated when the
+// current one runs out, and arities past the chunk size get their own
+// slice.  A chunk is freed once every record carved from it has
+// completed (retire drops the record's slice).
+func (c *Context) bindArgs(n int) []boundArg {
+	if n == 0 {
+		return nil
+	}
+	if n > len(c.argSlab) {
+		if n > argSlabChunk {
+			return make([]boundArg, n)
+		}
+		c.argSlab = make([]boundArg, argSlabChunk)
+	}
+	b := c.argSlab[:n:n]
+	c.argSlab = c.argSlab[n:]
+	return b
 }
 
 // exec runs one task body on thread self, then — with successor
@@ -480,7 +498,7 @@ func (c *Context) exec(n *graph.Node, self int) {
 			// producer guarantees the source contents are final.
 			for i := range rec.args {
 				if b := &rec.args[i]; b.copyFrom != nil {
-					b.copyFn(b.instance, b.copyFrom)
+					dataid.CopyInto(b.instance, b.copyFrom)
 					b.copyFrom = nil
 				}
 			}
@@ -494,6 +512,10 @@ func (c *Context) exec(n *graph.Node, self int) {
 		} else {
 			c.g.Complete(n, self)
 		}
+		// Release before the outstanding count drops, so that when a
+		// Barrier observes zero every version hold is gone and
+		// LiveRenamedBytes reflects only idle diverged objects.
+		rec.retire()
 		if !skipped {
 			// Skips complete without executing, so TasksExecuted keeps
 			// meaning "bodies run"; the skip counters hold the rest.
@@ -523,7 +545,8 @@ func (c *Context) exec(n *graph.Node, self int) {
 // failed node is tainted, and Complete then spreads the taint to its
 // dependents.
 func (c *Context) runBody(rec *taskRec, n *graph.Node, self int) {
-	a := Args{rec: rec, ctx: c, worker: self}
+	a := &rec.call
+	a.rec, a.worker = rec, self
 	var cause error
 	func() {
 		defer func() {
@@ -535,7 +558,7 @@ func (c *Context) runBody(rec *taskRec, n *graph.Node, self int) {
 			a.failed = err
 			return
 		}
-		rec.def.Fn(&a)
+		rec.def.Fn(a)
 	}()
 	if cause == nil {
 		cause = a.failed

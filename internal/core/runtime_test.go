@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -348,12 +349,29 @@ func TestMemoryLimitThrottlesRenaming(t *testing.T) {
 	}
 }
 
+// TestGraphLimitThrottlesSubmitter submits independent tasks behind a
+// gate: the pool's one worker blocks in its first task until the main
+// thread has run one, so the open-task count must reach the limit and
+// the throttled submitter always finds queued work to help with.
 func TestGraphLimitThrottlesSubmitter(t *testing.T) {
 	rt := New(Config{Workers: 2, GraphLimit: 8})
 	defer rt.Close()
-	x := make([]float32, 4)
-	for i := 0; i < 200; i++ {
-		rt.Submit(scaleDef, InOut(x), Value(1.0))
+	gate := make(chan struct{})
+	var opened sync.Once
+	gated := NewTaskDef("gated", func(a *Args) {
+		if a.Worker() == 0 {
+			opened.Do(func() { close(gate) })
+		} else {
+			<-gate
+		}
+		a.F32(0)[0]++
+	})
+	cells := make([][]float32, 200)
+	for i := range cells {
+		cells[i] = make([]float32, 1)
+	}
+	for i := range cells {
+		rt.Submit(gated, InOut(cells[i]))
 		if open := rt.Stats().TasksSubmitted - rt.Stats().TasksExecuted; open > 16 {
 			t.Fatalf("open tasks = %d exceeds limit slack", open)
 		}

@@ -38,7 +38,7 @@ func NewLocalKey(new func() any) *LocalKey {
 // instance, so state like grown scratch buffers is reused, and two
 // workers never share one.
 func (a *Args) Local(key *LocalKey) any {
-	return a.ctx.pool.local(a.worker, key)
+	return a.rec.ctx.pool.local(a.worker, key)
 }
 
 // releaseLocals runs at Pool.Close, after every worker has stopped:

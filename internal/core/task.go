@@ -3,6 +3,9 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
+
+	"repro/internal/deps"
+	"repro/internal/graph"
 )
 
 // taskKinds hands out one stable small integer per task definition, used
@@ -49,16 +52,35 @@ type boundArg struct {
 	kind     argKind
 	instance any // for argData: effective storage; for value/opaque: the value
 	copyFrom any
-	copyFn   func(dst, src any)
 }
 
-// taskRec is the runtime payload attached to each graph node.  The
-// context pointer routes a task popped by a shared pool worker back to
-// its owning tenant's accounting.
+// taskRec is the runtime's per-task record: one allocation holding the
+// graph node, the version holds the dependency tracker acquired for the
+// task, and the Args its body receives.  The node's Payload points back
+// at the record; the context pointer routes a task popped by a shared
+// pool worker back to its owning tenant's accounting.
+//
+// A completed record outlives its task for as long as a version names
+// its node (as producer or reader), so completion empties it (retire):
+// it must not pin user data, renamed instances or older versions.
 type taskRec struct {
-	def  *TaskDef
-	ctx  *Context
+	node  graph.Node
+	holds deps.Holds
+	call  Args
+	def   *TaskDef
+	ctx   *Context
+	// args is carved from the context's argument slab (see
+	// Context.bindArgs).
 	args []boundArg
+}
+
+// retire empties a completed record: it releases the task's version
+// holds and drops its argument bindings and failure cause.
+func (r *taskRec) retire() {
+	r.ctx.tr.Release(&r.holds)
+	clear(r.args)
+	r.args = nil
+	r.call = Args{}
 }
 
 // Args gives a task body access to its effective parameters.  Renaming
@@ -67,7 +89,6 @@ type taskRec struct {
 // parameter rewriting the SMPSs compiler performs on task bodies.
 type Args struct {
 	rec    *taskRec
-	ctx    *Context
 	worker int
 	failed error
 }

@@ -283,9 +283,10 @@ var (
 const intSize = 32 << (^uint(0) >> 63) / 8 // bytes in an int
 
 // acquire returns a storage instance shaped like a.Data — recycled when
-// the class has a free instance, freshly allocated via a.Alloc
-// otherwise — plus its accounted byte size.  The instance counts as
-// live until released (or forfeited).
+// the class has a free instance, freshly allocated otherwise (via
+// a.Alloc, or like a.Data when a.Alloc is nil) — plus its accounted
+// byte size.  The instance counts as live until released (or
+// forfeited).
 func (p *Pool) acquire(a *Access) (any, int64) {
 	key, bytes := classOf(a.Data)
 	var inst any
@@ -300,7 +301,11 @@ func (p *Pool) acquire(a *Access) (any, int64) {
 		p.hits.Add(1)
 	} else {
 		p.misses.Add(1)
-		inst = a.Alloc()
+		alloc := a.Alloc
+		if alloc == nil {
+			alloc = dataid.AllocLike(a.Data)
+		}
+		inst = alloc()
 	}
 	p.liveBytes.Add(bytes)
 	return inst, bytes

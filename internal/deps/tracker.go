@@ -46,8 +46,8 @@ func (m Mode) Writes() bool { return m == ModeOut || m == ModeInOut }
 
 // Access describes one task parameter presented to the tracker: the
 // identity of the data it touches, how it touches it, and — because
-// renaming needs to allocate fresh storage of the right shape — callbacks
-// to clone that storage.
+// renaming needs fresh storage of the right shape — how to allocate and
+// copy that storage.
 type Access struct {
 	// Key identifies the data object; the runtime uses the base address
 	// of the backing array, exactly like the 2008 runtime keys its
@@ -61,7 +61,7 @@ type Access struct {
 	// Data is the user-visible storage for the object's initial version.
 	Data any
 	// Alloc allocates a fresh instance with the same shape as Data.
-	// Required for renamed writes; may be nil for ModeIn.
+	// nil: allocate like Data on a pool miss.
 	Alloc func() any
 	// Copy copies the contents of src into dst.  Required when an inout
 	// parameter is renamed; may be nil otherwise.
@@ -92,10 +92,10 @@ type Resolution struct {
 // refs holds one count while the version is the object's current
 // version, one while its producer is pending, one per live reader and
 // one per renamed-inout successor that still has to copy from it.
-// Completion observers on the graph nodes count the references down the
-// moment each task finishes; when a *retired* (superseded, synced or
-// forgotten) version drains to zero and owns pooled storage, that
-// storage returns to the tracker's recycling pool.
+// Each task's references are collected in its Holds and dropped by
+// Tracker.Release the moment the task completes; when a *retired*
+// (superseded, synced or forgotten) version drains to zero and owns
+// pooled storage, that storage returns to the tracker's recycling pool.
 type version struct {
 	// producer is the task writing this version; nil for the initial
 	// version (data that existed before any task wrote it).
@@ -151,9 +151,18 @@ func (v *version) pruneReaders() {
 	v.readers = live
 }
 
+// drop releases one task hold on v; a reader hold also leaves the live
+// reader count.
+func (v *version) drop(p *Pool, reader bool) {
+	if reader {
+		v.nreaders.Add(-1)
+	}
+	v.release(p)
+}
+
 // release drops one reference; the last reference of a retired version
 // reclaims its owned storage into the pool.  Runs without the shard
-// lock (completion observers call it from worker goroutines).
+// lock (Tracker.Release calls it from worker goroutines).
 func (v *version) release(p *Pool) {
 	if v.refs.Add(-1) == 0 && v.retired.Load() {
 		v.reclaim(p)
@@ -394,53 +403,99 @@ func (sh *shard) lookup(a Access) *object {
 
 // versionHold is one reference a task holds on a version until it
 // completes: a live-reader hold (counted in nreaders too) or a plain
-// lifetime hold (pending producer, renamed-inout copy source).  The
-// holds of one task are released together by a single completion
-// observer, so the hot submission path pays one closure and one
-// observer registration per task instead of one per access.
+// lifetime hold (pending producer, renamed-inout copy source).
 type versionHold struct {
 	v      *version
 	reader bool
 }
 
-// registerHolds attaches the task's accumulated version holds to its
-// completion.  Called after the shard locks are released; the node
-// cannot complete before Seal, which the submitter calls later.
-func (t *Tracker) registerHolds(node *graph.Node, holds []versionHold) {
-	if len(holds) == 0 {
+// inlineHolds is the number of holds a Holds stores without allocating:
+// one per data parameter plus one for a renamed inout's copy source
+// covers the one- to three-parameter tasks that dominate real programs.
+const inlineHolds = 4
+
+// Holds collects the version references one task acquires during
+// analysis, to be dropped together by Tracker.Release when the task
+// completes.  The zero value is empty and ready to use.  It is meant to
+// be embedded in the caller's per-task record: the first inlineHolds
+// entries live inline (a bit mask marks the reader holds), only the
+// rest spill to a heap slice.
+type Holds struct {
+	n       uint32
+	readers uint32
+	inline  [inlineHolds]*version
+	spill   []versionHold
+}
+
+func (h *Holds) add(v *version, reader bool) {
+	if h.n < inlineHolds {
+		h.inline[h.n] = v
+		if reader {
+			h.readers |= 1 << h.n
+		}
+	} else {
+		h.spill = append(h.spill, versionHold{v: v, reader: reader})
+	}
+	h.n++
+}
+
+// Release drops every reference in h and empties it, so a completed
+// task's record pins no version.  The caller invokes it once the task
+// has completed (after graph.Complete); it runs on any goroutine
+// without the shard locks.
+func (t *Tracker) Release(h *Holds) {
+	for i := range min(h.n, inlineHolds) {
+		h.inline[i].drop(&t.pool, h.readers&(1<<i) != 0)
+	}
+	for _, hd := range h.spill {
+		hd.v.drop(&t.pool, hd.reader)
+	}
+	*h = Holds{}
+}
+
+// releaseOnComplete hands h to a completion observer on node, for
+// callers that keep no per-task record to release it from.  Called
+// after the shard locks are released; the node cannot complete before
+// Seal, which the submitter calls later.
+func (t *Tracker) releaseOnComplete(node *graph.Node, h *Holds) {
+	if h.n == 0 {
 		return
 	}
-	p := &t.pool
-	node.OnComplete(func() {
-		for _, h := range holds {
-			if h.reader {
-				h.v.nreaders.Add(-1)
-			}
-			h.v.release(p)
-		}
-	})
+	held := *h
+	node.OnComplete(func() { t.Release(&held) })
 }
 
 // Analyze resolves one parameter access for task node, adding the
 // dependency edges it implies.  It must be called after graph.AddNode and
 // before graph.Seal for the node.
 func (t *Tracker) Analyze(node *graph.Node, a Access) Resolution {
-	var holds []versionHold
+	var h Holds
 	sh := t.shardOf(a.Key)
 	sh.mu.Lock()
-	res := t.analyzeLocked(sh, node, a, &holds)
+	res := t.analyzeLocked(sh, node, a, &h)
 	sh.mu.Unlock()
-	t.registerHolds(node, holds)
+	t.releaseOnComplete(node, &h)
 	return res
 }
 
-// AnalyzeBatch resolves every access of one task in submission order,
+// AnalyzeBatch is AnalyzeInto for callers without a per-task record:
+// the version holds are released by a completion observer on node.
+func (t *Tracker) AnalyzeBatch(node *graph.Node, accs []Access, out []Resolution) []Resolution {
+	var h Holds
+	out = t.AnalyzeInto(node, accs, out, &h)
+	t.releaseOnComplete(node, &h)
+	return out
+}
+
+// AnalyzeInto resolves every access of one task in submission order,
 // entering the tracker once: all shards the accesses hash onto are locked
 // up front in ascending index order (the canonical order that makes
 // concurrent cross-shard batches deadlock-free), the accesses analyzed,
 // and the shards released.  Results are appended to out and returned;
-// callers reuse out across batches to avoid per-task allocation.
-func (t *Tracker) AnalyzeBatch(node *graph.Node, accs []Access, out []Resolution) []Resolution {
+// callers reuse out across batches to avoid per-task allocation.  The
+// version references the task acquires are added to h, which the caller
+// must pass to Release once the node has completed.
+func (t *Tracker) AnalyzeInto(node *graph.Node, accs []Access, out []Resolution, h *Holds) []Resolution {
 	if len(accs) == 0 {
 		return out
 	}
@@ -452,21 +507,18 @@ func (t *Tracker) AnalyzeBatch(node *graph.Node, accs []Access, out []Resolution
 	for m := mask; m != 0; m &= m - 1 {
 		t.shards[bits.TrailingZeros64(m)].mu.Lock()
 	}
-	var holds []versionHold
 	for i := range accs {
-		out = append(out, t.analyzeLocked(t.shardOf(accs[i].Key), node, accs[i], &holds))
+		out = append(out, t.analyzeLocked(t.shardOf(accs[i].Key), node, accs[i], h))
 	}
 	for m := mask; m != 0; m &= m - 1 {
 		t.shards[bits.TrailingZeros64(m)].mu.Unlock()
 	}
-	t.registerHolds(node, holds)
 	return out
 }
 
 // analyzeLocked dispatches one access; the caller holds sh.mu.  holds
-// accumulates the version references the node acquires, registered as
-// one completion observer by the caller after the locks are released.
-func (t *Tracker) analyzeLocked(sh *shard, node *graph.Node, a Access, holds *[]versionHold) Resolution {
+// accumulates the version references the node acquires.
+func (t *Tracker) analyzeLocked(sh *shard, node *graph.Node, a Access, holds *Holds) Resolution {
 	obj := sh.lookup(a)
 	if obj.regioned || !a.Region.IsFull() {
 		return t.analyzeRegion(sh, node, obj, a)
@@ -509,7 +561,7 @@ func (t *Tracker) trueDep(sh *shard, node *graph.Node, v *version) {
 	}
 }
 
-func (t *Tracker) analyzeIn(sh *shard, node *graph.Node, obj *object, holds *[]versionHold) Resolution {
+func (t *Tracker) analyzeIn(sh *shard, node *graph.Node, obj *object, holds *Holds) Resolution {
 	v := obj.cur
 	t.trueDep(sh, node, v)
 	t.hintAffinity(node, v)
@@ -517,7 +569,7 @@ func (t *Tracker) analyzeIn(sh *shard, node *graph.Node, obj *object, holds *[]v
 	v.readers = append(v.readers, node)
 	v.nreaders.Add(1)
 	v.refs.Add(1)
-	*holds = append(*holds, versionHold{v: v, reader: true})
+	holds.add(v, true)
 	return Resolution{Instance: v.instance}
 }
 
@@ -537,7 +589,7 @@ func (t *Tracker) supersede(obj *object, v, nv *version, renamed bool, bytes int
 	v.retire(&t.pool)
 }
 
-func (t *Tracker) analyzeOut(sh *shard, node *graph.Node, obj *object, a Access, holds *[]versionHold) Resolution {
+func (t *Tracker) analyzeOut(sh *shard, node *graph.Node, obj *object, a Access, holds *Holds) Resolution {
 	v := obj.cur
 	hazard := v.producerPending() || v.nreaders.Load() > 0
 	res := Resolution{Instance: v.instance}
@@ -575,12 +627,12 @@ func (t *Tracker) analyzeOut(sh *shard, node *graph.Node, obj *object, a Access,
 		t.hintAffinity(node, v)
 	}
 	nv := newVersion(node, res.Instance)
-	*holds = append(*holds, versionHold{v: nv})
+	holds.add(nv, false)
 	t.supersede(obj, v, nv, renamed, bytes)
 	return res
 }
 
-func (t *Tracker) analyzeInOut(sh *shard, node *graph.Node, obj *object, a Access, holds *[]versionHold) Resolution {
+func (t *Tracker) analyzeInOut(sh *shard, node *graph.Node, obj *object, a Access, holds *Holds) Resolution {
 	v := obj.cur
 	res := Resolution{Instance: v.instance}
 	t.trueDep(sh, node, v) // RAW: the task reads the old value
@@ -605,7 +657,7 @@ func (t *Tracker) analyzeInOut(sh *shard, node *graph.Node, obj *object, a Acces
 			res.Copy = a.Copy
 			res.Renamed, renamed = true, true
 			v.refs.Add(1)
-			*holds = append(*holds, versionHold{v: v})
+			holds.add(v, false)
 			sh.stats.Renames++
 			sh.stats.RenameCopies++
 		}
@@ -616,7 +668,7 @@ func (t *Tracker) analyzeInOut(sh *shard, node *graph.Node, obj *object, a Acces
 		sh.stats.RenamesElided++
 	}
 	nv := newVersion(node, res.Instance)
-	*holds = append(*holds, versionHold{v: nv})
+	holds.add(nv, false)
 	t.supersede(obj, v, nv, renamed, bytes)
 	return res
 }

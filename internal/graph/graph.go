@@ -150,9 +150,9 @@ func (n *Node) Poisoned() bool { return n.poisoned.Load() }
 
 // OnComplete registers a completion observer: f runs exactly once, after
 // the node transitions to Done and its successors have been released.
-// The dependency tracker uses observers to count down version reference
-// counts the moment a consumer finishes, instead of rediscovering
-// completions with shard-wide Done() scans.  If the node has already
+// deps.Tracker.AnalyzeBatch uses one to release a task's version holds
+// when the caller keeps no per-task record of its own (the runtime
+// releases them itself, without an observer).  If the node has already
 // completed, f runs immediately on the calling goroutine.  Observers run
 // on the completing worker's goroutine and must not block.
 func (n *Node) OnComplete(f func()) {
@@ -207,13 +207,22 @@ func (g *Graph) Edges() int64 { return g.edges.Load() }
 // AddNode creates a node in the Building state.  The caller must add all
 // edges with AddEdge and then call Seal exactly once.
 func (g *Graph) AddNode(kind int, label string, priority bool, payload any) *Node {
-	n := &Node{
-		ID:       g.nextID.Add(1),
-		Kind:     kind,
-		Label:    label,
-		Priority: priority,
-		Payload:  payload,
-	}
+	n := new(Node)
+	g.Insert(n, kind, label, priority, payload)
+	return n
+}
+
+// Insert is AddNode on caller-provided storage: n must be a zero Node,
+// typically embedded in the caller's own per-task record so that node
+// and record cost one allocation.  The node enters the Building state;
+// the caller adds its edges with AddEdge and then calls Seal exactly
+// once.
+func (g *Graph) Insert(n *Node, kind int, label string, priority bool, payload any) {
+	n.ID = g.nextID.Add(1)
+	n.Kind = kind
+	n.Label = label
+	n.Priority = priority
+	n.Payload = payload
 	n.pending.Store(1) // construction hold
 	g.open.Add(1)
 	g.added.Add(1)
@@ -222,7 +231,6 @@ func (g *Graph) AddNode(kind int, label string, priority bool, payload any) *Nod
 		g.rec.addNode(n)
 	}
 	g.recMu.Unlock()
-	return n
 }
 
 // AddEdge records a true dependency from → to: "to" may not start until
