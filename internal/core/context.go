@@ -27,7 +27,10 @@ const (
 	// FailPoison skips the transitive dependents of a failed task:
 	// each is completed without running its body (so edges, refcounts
 	// and pooled rename storage still drain) and counted in
-	// Stats.Poisoned.
+	// Stats.Poisoned.  A dependent is skipped even when the failed task
+	// completed before the dependent was submitted, until the next
+	// Barrier, which reports the failure and hands the data back to the
+	// program.
 	FailPoison
 )
 
@@ -605,6 +608,9 @@ func (c *Context) Barrier() error {
 		c.helpOnce(func() bool { return c.outstanding.Load() == 0 })
 	}
 	c.syncCopies.Add(int64(c.tr.SyncAll()))
+	if c.cfg.OnFailure == FailPoison && c.failures.Load() > 0 {
+		c.tr.ForgetPoison()
+	}
 	c.tracr.EmitCtx(c.id, c.slot, trace.EvBarrierDone, -1, "", 0)
 	return c.barrierErr()
 }

@@ -315,7 +315,21 @@ func TestElasticDrainMidShrink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each chain runs gateAt links, then its next link blocks until the
+	// drain begins: the controller shrinks the idle workers while the
+	// chain is in flight, and at least chainLen-gateAt links of 200µs
+	// (~98 ms) remain when Drain starts, far past its 5 ms grace, so the
+	// drain always has stragglers to cancel however loaded the host is.
+	const chainLen, gateAt = 500, 10
+	draining := make(chan struct{})
+	var queued, gated sync.WaitGroup
+	queued.Add(tenants)
+	gated.Add(tenants)
 	slow := NewTaskDef("elastic_slow", func(a *Args) {
+		if a.Int(1) == gateAt {
+			gated.Done()
+			<-draining
+		}
 		time.Sleep(200 * time.Microsecond)
 		a.F32(0)[0]++
 	})
@@ -329,22 +343,29 @@ func TestElasticDrainMidShrink(t *testing.T) {
 		wg.Add(1)
 		go func(i int, c *Context) {
 			defer wg.Done()
-			// The whole serial chain is queued before Drain's deadline can
-			// expire, so the only blocked call is the Barrier the drain
-			// must cancel.
+			// The whole serial chain is queued before the drain starts,
+			// so the only blocked call is the Barrier it must cancel.
 			x := make([]float32, 4)
-			for k := 0; k < 500; k++ {
-				if err := c.Submit(slow, InOut(x)); err != nil {
+			for k := 0; k < chainLen; k++ {
+				if err := c.Submit(slow, InOut(x), Value(k)); err != nil {
 					errs[i] = err
+					queued.Done()
 					return
 				}
 			}
+			queued.Done()
 			errs[i] = c.Barrier()
 		}(i, c)
 	}
-	// Let the chains get going — the serial dependency keeps the queue
-	// shallow, so the controller shrinks while work is still in flight.
-	time.Sleep(10 * time.Millisecond)
+	queued.Wait()
+	for i, err := range errs {
+		if err != nil {
+			close(draining)
+			t.Fatalf("tenant %d: Submit before the drain: %v", i, err)
+		}
+	}
+	gated.Wait()
+	close(draining)
 	done := make(chan error, 1)
 	go func() { done <- pool.Drain(5 * time.Millisecond) }()
 	select {

@@ -90,6 +90,113 @@ func TestPoisonSkipsDependents(t *testing.T) {
 	}
 }
 
+// A dependent submitted after the failed task has already completed
+// finds no pending producer to wait on, yet must still be poisoned;
+// after the barrier that reports the failure, the data is the
+// program's again and new tasks on it run.
+func TestPoisonThroughCompletedProducer(t *testing.T) {
+	rt := New(Config{Workers: 2, OnFailure: FailPoison})
+	defer rt.Close()
+	x := make([]float32, 8)
+	var ran atomic.Int64
+	boom := NewTaskDef("lateBoom", func(a *Args) { panic("bad") })
+	after := NewTaskDef("lateAfter", func(a *Args) { ran.Add(1) })
+
+	rt.Submit(fillDef, Out(x), Value(1.0))
+	rt.Submit(boom, InOut(x))
+	if err := rt.WaitOn(x); err == nil {
+		t.Fatal("WaitOn: expected the failure")
+	}
+	// boom has completed: the dependents below add no edge to it.
+	// (Reads only, so x is never renamed and keeps boom as its
+	// producer across the barrier.)
+	y := make([]float32, 8)
+	rt.Submit(after, In(x))
+	rt.Submit(after, In(x), InOut(y))
+	rt.Submit(after, In(y)) // transitively, through a skipped task
+
+	if err := rt.Barrier(); err == nil {
+		t.Fatal("expected failure at barrier")
+	}
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("%d dependents of a completed poisoned producer ran", n)
+	}
+	if st := rt.Stats(); st.Poisoned != 3 {
+		t.Fatalf("Poisoned = %d, want 3", st.Poisoned)
+	}
+
+	rt.ClearErr()
+	rt.Submit(after, In(x))
+	if err := rt.Barrier(); err != nil {
+		t.Fatalf("Barrier after ClearErr = %v", err)
+	}
+	if ran.Load() != 1 {
+		t.Fatal("a task submitted after the reporting barrier was skipped")
+	}
+}
+
+// The completed-producer case on a renamed object: WaitOn copies the
+// failed task's renamed output back into x and restarts x's version
+// chain, and the taint must survive that until the barrier.
+func TestPoisonSurvivesSyncBack(t *testing.T) {
+	rt := New(Config{Workers: 2, OnFailure: FailPoison})
+	defer rt.Close()
+	x := make([]float32, 8)
+	gate := make(chan struct{})
+	var ran atomic.Int64
+	hold := NewTaskDef("syncHold", func(a *Args) { <-gate })
+	boom := NewTaskDef("syncBoom", func(a *Args) { panic("bad") })
+	after := NewTaskDef("syncAfter", func(a *Args) { ran.Add(1) })
+
+	rt.Submit(hold, In(x)) // pending reader: boom's write renames x
+	rt.Submit(boom, InOut(x))
+	close(gate)
+	if err := rt.WaitOn(x); err == nil {
+		t.Fatal("WaitOn: expected the failure")
+	}
+	if st := rt.Stats(); st.Renames != 1 || st.SyncBackCopies != 1 {
+		t.Fatalf("Renames = %d, SyncBackCopies = %d; want 1, 1", st.Renames, st.SyncBackCopies)
+	}
+	rt.Submit(after, In(x))
+	if err := rt.Barrier(); err == nil {
+		t.Fatal("expected failure at barrier")
+	}
+	if ran.Load() != 0 {
+		t.Fatal("a dependent of the synced-back poisoned write ran")
+	}
+}
+
+// The region-mode form of the completed-producer case: a failed region
+// writer taints later overlapping accesses, not disjoint ones, and
+// stays in the history until a write that covers it carries the taint
+// on.
+func TestPoisonThroughCompletedRegionWriter(t *testing.T) {
+	rt := New(Config{Workers: 2, OnFailure: FailPoison})
+	defer rt.Close()
+	x := make([]float32, 16)
+	var ran [5]atomic.Bool
+	boom := NewTaskDef("lateBoomR", func(a *Args) { panic("bad") })
+	mark := NewTaskDef("lateMarkR", func(a *Args) { ran[a.Int(1)].Store(true) })
+
+	rt.Submit(boom, OutR(x, Span(0, 8)))
+	if err := rt.WaitOnRegion(x, Span(0, 8)); err == nil {
+		t.Fatal("WaitOnRegion: expected the failure")
+	}
+	rt.Submit(mark, InR(x, Span(4, 8)), Value(0))  // overlaps: poisoned
+	rt.Submit(mark, InR(x, Span(8, 8)), Value(1))  // disjoint: runs
+	rt.Submit(mark, OutR(x, Span(0, 2)), Value(2)) // overlaps: poisoned
+	rt.Submit(mark, InR(x, Span(6, 1)), Value(3))  // boom still recorded: poisoned
+	rt.Submit(mark, InR(x, Span(0, 1)), Value(4))  // poisoned via entry 2
+	if err := rt.Barrier(); err == nil {
+		t.Fatal("expected failure at barrier")
+	}
+	for i, want := range []bool{false, true, false, false, false} {
+		if ran[i].Load() != want {
+			t.Fatalf("task %d ran = %v, want %v", i, !want, want)
+		}
+	}
+}
+
 // Poisoned skips must still release pooled rename storage: a write
 // chain over a pending reader renames every round, and the skipped
 // writers' instances must all return to the store.

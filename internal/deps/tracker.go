@@ -137,6 +137,19 @@ func newVersion(producer *graph.Node, instance any) *version {
 	return v
 }
 
+// syncedVersion is the chain head that replaces old once its contents
+// are copied back into the object's original storage.  It keeps old's
+// producer only if that producer is poisoned, so the taint outlives the
+// copy until the barrier ends the poison epoch (ForgetPoison).  The
+// producer has completed, so it holds no reference on the new version.
+func syncedVersion(old *version, original any) *version {
+	nv := newVersion(nil, original)
+	if p := old.producer; p != nil && p.Poisoned() {
+		nv.producer = p
+	}
+	return nv
+}
+
 func (v *version) producerPending() bool {
 	return v.producer != nil && !v.producer.Done()
 }
@@ -550,7 +563,8 @@ func (t *Tracker) hintAffinity(node *graph.Node, v *version) {
 // producer of v (nil-producer versions are pre-existing data).  The
 // physical edge is added only while the producer is pending; the
 // counter increments either way, keeping Stats.TrueEdges deterministic
-// at any worker count.  Callers hold the shard lock.
+// at any worker count.  A completed producer that failed under a
+// poisoning policy taints node directly.  Callers hold the shard lock.
 func (t *Tracker) trueDep(sh *shard, node *graph.Node, v *version) {
 	if v.producer == nil {
 		return
@@ -558,6 +572,8 @@ func (t *Tracker) trueDep(sh *shard, node *graph.Node, v *version) {
 	sh.stats.TrueEdges++
 	if v.producerPending() {
 		t.g.AddEdge(v.producer, node)
+	} else {
+		graph.InheritPoison(v.producer, node)
 	}
 }
 
@@ -683,6 +699,20 @@ func (t *Tracker) analyzeRegion(sh *shard, node *graph.Node, obj *object, a Acce
 	live := obj.hist[:0]
 	for _, h := range obj.hist {
 		if h.task.Done() {
+			// A completed writer that failed under a poisoning policy
+			// stays in the history, so every later overlapping access
+			// inherits the taint, until a write that covers it (and so
+			// carries the taint on) takes its place.
+			if !h.mode.Writes() || !h.task.Poisoned() {
+				continue
+			}
+			if h.region.Overlaps(a.Region) {
+				graph.InheritPoison(h.task, node)
+				if a.Mode.Writes() && a.Region.Contains(h.region) {
+					continue
+				}
+			}
+			live = append(live, h)
 			continue
 		}
 		live = append(live, h)
@@ -709,7 +739,7 @@ func (t *Tracker) flipToRegioned(sh *shard, obj *object) {
 	obj.regioned = true
 	sh.stats.RegionObjects++
 	v := obj.cur
-	if v.producerPending() {
+	if v.producerPending() || v.producer != nil && v.producer.Poisoned() {
 		obj.hist = append(obj.hist, regionAccess{region: Full, mode: ModeOut, task: v.producer})
 	}
 	v.pruneReaders()
@@ -823,7 +853,7 @@ func (t *Tracker) SyncAll() int {
 			}
 			old := obj.cur
 			work = append(work, syncWork{dst: obj.original, src: old.instance, copier: obj.copier, old: old})
-			obj.cur = newVersion(nil, obj.original)
+			obj.cur = syncedVersion(old, obj.original)
 			obj.diverged = false
 		}
 		sh.mu.Unlock()
@@ -833,6 +863,33 @@ func (t *Tracker) SyncAll() int {
 		w.old.retire(&t.pool)
 	}
 	return len(work)
+}
+
+// ForgetPoison ends the poison epoch.  Between barriers a completed
+// writer that failed under a poisoning policy taints every later access
+// that depends on it (trueDep, analyzeRegion); after a barrier the
+// program has seen the failure and owns its data again, and may rewrite
+// it unseen, so those writers stop tainting.  It must only be called
+// from the submitting thread with no pending tasks.
+func (t *Tracker) ForgetPoison() {
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		for _, obj := range sh.objects {
+			if p := obj.cur.producer; p != nil && p.Poisoned() {
+				obj.cur.producer = nil
+			}
+			live := obj.hist[:0]
+			for _, h := range obj.hist {
+				if !h.task.Poisoned() {
+					live = append(live, h)
+				}
+			}
+			clear(obj.hist[len(live):])
+			obj.hist = live
+		}
+		sh.mu.Unlock()
+	}
 }
 
 func (t *Tracker) syncLocked(obj *object) bool {
@@ -847,7 +904,7 @@ func (t *Tracker) syncLocked(obj *object) bool {
 	}
 	obj.copier(obj.original, obj.cur.instance)
 	old := obj.cur
-	obj.cur = newVersion(nil, obj.original)
+	obj.cur = syncedVersion(old, obj.original)
 	obj.diverged = false
 	// Any late readers of the superseded renamed instance still hold
 	// references; the pool gets the instance back only when the last of

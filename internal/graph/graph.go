@@ -148,6 +148,17 @@ func (n *Node) MarkPoisoned() { n.poisoned.Store(true) }
 // the completion of a poisoned predecessor.
 func (n *Node) Poisoned() bool { return n.poisoned.Load() }
 
+// InheritPoison taints to if the completed from was poisoned: the
+// dependence analysis calls it, in place of an edge, for a dependence
+// on a producer that has already completed, so a failure reaches every
+// dependent however late it is submitted.  Complete stores the poison
+// before the Done state, so a caller that observed from.Done() sees it.
+func InheritPoison(from, to *Node) {
+	if from.poisoned.Load() {
+		to.poisoned.Store(true)
+	}
+}
+
 // OnComplete registers a completion observer: f runs exactly once, after
 // the node transitions to Done and its successors have been released.
 // deps.Tracker.AnalyzeBatch uses one to release a task's version holds
@@ -234,8 +245,9 @@ func (g *Graph) Insert(n *Node, kind int, label string, priority bool, payload a
 }
 
 // AddEdge records a true dependency from → to: "to" may not start until
-// "from" completes.  If "from" has already completed the edge is a no-op
-// (beyond statistics).  "to" must still be in the Building state.
+// "from" completes.  If "from" has already completed no edge is needed,
+// but a poisoned "from" still taints "to", exactly as its completion
+// would have through the edge.  "to" must still be in the Building state.
 func (g *Graph) AddEdge(from, to *Node) {
 	if from == to {
 		return
@@ -250,6 +262,7 @@ func (g *Graph) AddEdge(from, to *Node) {
 	if from.Done() {
 		from.mu.Unlock()
 		to.pending.Add(-1)
+		InheritPoison(from, to)
 		return
 	}
 	from.succs = append(from.succs, to)

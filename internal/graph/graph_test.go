@@ -98,6 +98,20 @@ func TestEdgeFromCompletedNodeIsNoOp(t *testing.T) {
 	if !log.has(b.ID) {
 		t.Fatalf("edge from done node must not block successor")
 	}
+	if b.Poisoned() {
+		t.Fatalf("edge from a clean done node poisoned its successor")
+	}
+	// A poisoned done node still taints, as its completion would have.
+	p := g.AddNode(0, "p", false, nil)
+	g.Seal(p)
+	p.MarkPoisoned()
+	g.Complete(p, 0)
+	c := g.AddNode(0, "c", false, nil)
+	g.AddEdge(p, c)
+	g.Seal(c)
+	if !log.has(c.ID) || !c.Poisoned() {
+		t.Fatalf("edge from a poisoned done node: ready %v, poisoned %v; want both", log.has(c.ID), c.Poisoned())
+	}
 }
 
 func TestSelfEdgeIgnored(t *testing.T) {

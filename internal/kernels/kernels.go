@@ -57,16 +57,18 @@ type Provider struct {
 	Gemv func(a, x, y []float32, m int)
 	Trsv func(l, b []float32, m int)
 
-	// GemmNNS, GemmNTS, SyrkS and GemmSubS are scratch-aware variants,
-	// non-nil only for providers that pack (Tuned).  The runtime path
-	// calls them with a per-worker Scratch (keyed off core's
-	// Args.Worker()) so packing buffers are reused without
-	// synchronization; the plain entry points above borrow from the
-	// shared scratch pool instead.
+	// GemmNNS, GemmNTS, SyrkS, GemmSubS, TrsmS and PotrfS are
+	// scratch-aware variants, non-nil only for providers that pack
+	// (Simd, Tuned).  The runtime path calls them with a per-worker
+	// Scratch (keyed off core's Args.Worker()) so packing buffers are
+	// reused without synchronization; the plain entry points above
+	// borrow from the shared scratch pool instead.
 	GemmNNS  func(s *Scratch, a, b, c []float32, m int)
 	GemmNTS  func(s *Scratch, a, b, c []float32, m int)
 	SyrkS    func(s *Scratch, a, c []float32, m int)
 	GemmSubS func(s *Scratch, a, b, c []float32, m int)
+	TrsmS    func(s *Scratch, l, b []float32, m int)
+	PotrfS   func(s *Scratch, a []float32, m int) bool
 }
 
 // Fast is the loop-tuned provider (the "Goto BLAS" stand-in).
@@ -273,25 +275,30 @@ func trsmFast(l, b []float32, m int) {
 
 // potrf factors the lower triangle of A in place: A = L·Lᵀ.  It returns
 // false if a non-positive pivot appears (A not positive definite).
-func potrf(a []float32, m int) bool {
-	for k := 0; k < m; k++ {
-		d := a[k*m+k]
+func potrf(a []float32, m int) bool { return potrfStrided(a, m, m) }
+
+// potrfStrided is potrf on the n×n leading block of a matrix with row
+// stride lda: the packed engines' recursive POTRF uses it as its base
+// case.  Only the lower triangle is read or written.
+func potrfStrided(a []float32, lda, n int) bool {
+	for k := 0; k < n; k++ {
+		d := a[k*lda+k]
 		if d <= 0 || math.IsNaN(float64(d)) {
 			return false
 		}
 		d = float32(math.Sqrt(float64(d)))
-		a[k*m+k] = d
+		a[k*lda+k] = d
 		inv := 1 / d
-		for i := k + 1; i < m; i++ {
-			a[i*m+k] *= inv
+		for i := k + 1; i < n; i++ {
+			a[i*lda+k] *= inv
 		}
-		for j := k + 1; j < m; j++ {
-			ajk := a[j*m+k]
+		for j := k + 1; j < n; j++ {
+			ajk := a[j*lda+k]
 			if ajk == 0 {
 				continue
 			}
-			for i := j; i < m; i++ {
-				a[i*m+j] -= a[i*m+k] * ajk
+			for i := j; i < n; i++ {
+				a[i*lda+j] -= a[i*lda+k] * ajk
 			}
 		}
 	}

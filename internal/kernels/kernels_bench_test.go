@@ -92,30 +92,49 @@ func BenchmarkGemmNNWorkerScratch256(b *testing.B) {
 	b.ReportMetric(GemmFlops(m)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflop/s")
 }
 
-func BenchmarkPotrf256(b *testing.B) {
-	m := 256
-	spd := GenSPD(m, 3)
-	work := make([]float32, m*m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, spd)
-		if !Fast.Potrf(work, m) {
-			b.Fatal("not positive definite")
+// triBenchSizes are the tile sizes the triangular benchmarks sweep: the
+// benchmark Cholesky's block and twice it.
+var triBenchSizes = []int{128, 256}
+
+func BenchmarkPotrf(b *testing.B) {
+	for _, p := range Providers {
+		for _, m := range triBenchSizes {
+			b.Run(fmt.Sprintf("%s/%d", p.Name, m), func(b *testing.B) {
+				spd := GenSPD(m, 3)
+				work := make([]float32, m*m)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(work, spd)
+					if !p.Potrf(work, m) {
+						b.Fatal("not positive definite")
+					}
+				}
+				b.ReportMetric(CholeskyFlops(m)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflop/s")
+			})
 		}
 	}
 }
 
-func BenchmarkTrsm256(b *testing.B) {
-	m := 256
-	l := GenSPD(m, 4)
-	if !Fast.Potrf(l, m) {
-		b.Fatal("factor failed")
-	}
-	x := GenMatrix(m, 5)
-	work := make([]float32, m*m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, x)
-		Fast.Trsm(l, work, m)
+func BenchmarkTrsm(b *testing.B) {
+	for _, p := range Providers {
+		for _, m := range triBenchSizes {
+			b.Run(fmt.Sprintf("%s/%d", p.Name, m), func(b *testing.B) {
+				l := GenSPD(m, 4)
+				if !potrf(l, m) {
+					b.Fatal("factor failed")
+				}
+				x := GenMatrix(m, 5)
+				work := make([]float32, m*m)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(work, x)
+					p.Trsm(l, work, m)
+				}
+				// X·Lᵀ = B costs m² multiply-adds per column of B: m³ flops.
+				b.ReportMetric(GemmFlops(m)/2*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflop/s")
+			})
+		}
 	}
 }

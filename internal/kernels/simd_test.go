@@ -155,6 +155,20 @@ func TestSimdForcedFallbackBitwiseTuned(t *testing.T) {
 		if MaxAbsDiff(c1, c2) != 0 {
 			t.Fatalf("m=%d: fallback Simd Syrk is not bit-identical to Tuned", m)
 		}
+		l := cholFactor(m, rng)
+		Tuned.Trsm(l, c1, m)
+		Simd.Trsm(l, c2, m)
+		if MaxAbsDiff(c1, c2) != 0 {
+			t.Fatalf("m=%d: fallback Simd Trsm is not bit-identical to Tuned", m)
+		}
+		p1 := spdBlock(m, rng)
+		p2 := append([]float32(nil), p1...)
+		if !Tuned.Potrf(p1, m) || !Simd.Potrf(p2, m) {
+			t.Fatalf("m=%d: fallback Potrf rejected an SPD block", m)
+		}
+		if MaxAbsDiff(p1, p2) != 0 {
+			t.Fatalf("m=%d: fallback Simd Potrf is not bit-identical to Tuned", m)
+		}
 		y1, y2 := randVec(m, rng), []float32(nil)
 		y2 = append(y2, y1...)
 		x := randVec(m, rng)

@@ -37,10 +37,8 @@ var scalarKernels = []tileKernel{
 // provider's bit-compatible portable fallback.
 var tunedEngine = newEngine("tuned", scalarKernels, tunedDefaults)
 
-// Tuned is the packed scalar micro-kernel provider.  Trsm, Potrf, Add,
-// Sub, Gemv and Trsv are inherited from the Fast provider: they are
-// lower-order or bandwidth-bound sidekicks off the critical kernel
-// path, and the engine's packing layout brings them nothing.
+// Tuned is the packed scalar micro-kernel provider (see engineProvider
+// for which kernels the engine runs).
 var Tuned = engineProvider("tuned", tunedEngine)
 
 // The Scratch methods below keep the pre-parameterization API: a

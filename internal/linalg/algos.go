@@ -20,10 +20,10 @@ import (
 )
 
 // kernelScratch keys each worker's packing buffers for providers with
-// scratch-aware kernels (kernels.Tuned): every worker grows its own
-// panel arena once and reuses it across all tasks it executes, so the
-// packed engine runs allocation- and synchronization-free inside the
-// runtime.
+// scratch-aware kernels (kernels.Simd, kernels.Tuned): every worker
+// grows its own panel arena once and reuses it across all tasks it
+// executes, so the packed engine runs allocation- and
+// synchronization-free inside the runtime.
 var kernelScratch = core.NewLocalKey(func() any { return kernels.NewScratch() })
 
 // scratchOf returns the executing worker's kernel scratch.
@@ -82,9 +82,9 @@ func NewOn(c *core.Context, p kernels.Provider, m int) *Algos {
 	al.scopy = core.NewTaskDef("scopy_t", func(a *core.Args) {
 		copy(a.F32(1), a.F32(0))
 	})
-	// The GEMM-class tasks route through the provider's scratch-aware
-	// variants when it has them, handing each call the executing
-	// worker's packing buffers.
+	// The level-3 tasks (GEMM, SYRK, TRSM, POTRF) route through the
+	// provider's scratch-aware variants when it has them, handing each
+	// call the executing worker's packing buffers.
 	al.sgemmNN = core.NewTaskDef("sgemm_t", func(a *core.Args) {
 		if p.GemmNNS != nil {
 			p.GemmNNS(scratchOf(a), a.F32(0), a.F32(1), a.F32(2), m)
@@ -107,13 +107,23 @@ func NewOn(c *core.Context, p kernels.Provider, m int) *Algos {
 		p.Syrk(a.F32(0), a.F32(1), m)
 	})
 	al.strsm = core.NewTaskDef("strsm_t", func(a *core.Args) {
+		if p.TrsmS != nil {
+			p.TrsmS(scratchOf(a), a.F32(0), a.F32(1), m)
+			return
+		}
 		p.Trsm(a.F32(0), a.F32(1), m)
 	})
 	// spotrf carries the highpriority clause: the diagonal factorization
 	// is on the critical path, and scheduling it as soon as it is ready
 	// unlocks a whole column of trsm tasks (paper §II/§III).
 	al.spotrf = core.NewHighPriorityTaskDef("spotrf_t", func(a *core.Args) {
-		if !p.Potrf(a.F32(0), m) {
+		ok := false
+		if p.PotrfS != nil {
+			ok = p.PotrfS(scratchOf(a), a.F32(0), m)
+		} else {
+			ok = p.Potrf(a.F32(0), m)
+		}
+		if !ok {
 			panic("spotrf_t: block not positive definite")
 		}
 	})
