@@ -270,7 +270,6 @@ var Registry = map[string]func(Config) *Result{
 	"ablation-tracker":     AblationTracker,
 	"ablation-regions":     AblationRegions,
 	"ablation-throttle":    AblationThrottle,
-	"ablation-elastic":     AblationElastic,
 	"ext-models":           ExtModels,
 	"ext-qr":               ExtQR,
 	"ext-sparselu":         ExtSparseLU,

@@ -49,14 +49,9 @@ const (
 	// SiteWakeDrop drops the affinity-targeted wake on the mux push
 	// path, forcing the generic unpark fallback to cover for it.
 	SiteWakeDrop
-	// SiteShrink sleeps on the elastic pool's worker-retirement path,
-	// between the worker leaving the live set and its deque being
-	// evicted — the window where concurrent pushes, drains and grows
-	// race the retirement.
-	SiteShrink
 
 	// NumSites is the number of defined sites.
-	NumSites = int(SiteShrink) + 1
+	NumSites = int(SiteWakeDrop) + 1
 )
 
 // String returns the site's name.
@@ -74,8 +69,6 @@ func (s Site) String() string {
 		return "rename-exhaust"
 	case SiteWakeDrop:
 		return "wake-drop"
-	case SiteShrink:
-		return "shrink"
 	}
 	return "site(?)"
 }
@@ -228,22 +221,6 @@ func ExhaustRename(bytes int64) bool {
 		return false
 	}
 	return inj.decide(SiteRenameExhaust, uint64(bytes))
-}
-
-// ShrinkDelay is the elastic pool's hook on the worker-retirement path,
-// called after the retiring worker leaves the live set and before it
-// evicts its deque.  The key is the retiring worker's identity: like
-// the steal delay it perturbs timing only, widening the window in which
-// affinity pushes, tenant cancellation and pool drain race a
-// retirement.
-func ShrinkDelay(self int) {
-	inj := active.Load()
-	if inj == nil {
-		return
-	}
-	if inj.decide(SiteShrink, uint64(self)) && inj.delay > 0 {
-		time.Sleep(inj.delay)
-	}
 }
 
 // DropWake reports whether the affinity-targeted wake for worker slot

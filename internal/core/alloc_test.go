@@ -13,15 +13,19 @@ import (
 // predecessor's successor slot for write shapes.  The argument bindings
 // come from the context's slab, so they amortize below one allocation.
 func TestSubmitAllocsPerTask(t *testing.T) {
+	gate := newLeakGate(t)
 	p, err := NewPool(PoolConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	c, err := p.NewContext(ContextConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		closeAll(t, p, c)
+		gate.check(c)
+	}()
 	empty := NewTaskDef("empty", func(*Args) {})
 	x, y := make([]float32, 4), make([]float32, 4)
 	for _, tc := range []struct {
@@ -64,15 +68,19 @@ type finalized struct {
 // current version's producer, the last reader is on its reader list),
 // so completion must drop the Opaque and Value payloads it was bound to.
 func TestCompletedRecordsRetainNothing(t *testing.T) {
+	gate := newLeakGate(t)
 	p, err := NewPool(PoolConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	c, err := p.NewContext(ContextConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		closeAll(t, p, c)
+		gate.check(c)
+	}()
 	def := NewTaskDef("touch", func(a *Args) {
 		_ = a.Opaque(1).(*finalized)
 		_ = a.Value(2).(*finalized)

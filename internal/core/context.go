@@ -46,7 +46,7 @@ func (p FailurePolicy) String() string {
 }
 
 // ContextConfig parameterizes one Context on a shared pool.  The fields
-// mirror the graph-state half of Config; worker count and elasticity
+// mirror the graph-state half of Config; worker and context counts
 // live in PoolConfig.
 type ContextConfig struct {
 	// Scheduler selects the context's scheduling policy; default

@@ -102,38 +102,6 @@ func validatePool(cfg PoolConfig) (PoolConfig, error) {
 	if cfg.Workers < 0 {
 		return cfg, &ConfigError{Field: "Workers", Value: cfg.Workers, Reason: "worker count must be >= 0"}
 	}
-	if cfg.MinWorkers < 0 {
-		return cfg, &ConfigError{Field: "MinWorkers", Value: cfg.MinWorkers, Reason: "elastic floor must be >= 0"}
-	}
-	if cfg.MaxWorkers < 0 {
-		return cfg, &ConfigError{Field: "MaxWorkers", Value: cfg.MaxWorkers, Reason: "elastic ceiling must be >= 0"}
-	}
-	if cfg.MinWorkers > 0 || cfg.MaxWorkers > 0 {
-		// Elastic sizing requested.  The identity space is MaxWorkers
-		// wide (Workers aliases it); the team starts at MinWorkers.
-		if cfg.MaxWorkers == 0 {
-			cfg.MaxWorkers = resolveWorkers(cfg.Workers)
-		}
-		if cfg.MinWorkers == 0 {
-			cfg.MinWorkers = 1
-		}
-		if cfg.MinWorkers > cfg.MaxWorkers {
-			return cfg, &ConfigError{
-				Field: "MinWorkers", Value: cfg.MinWorkers,
-				Reason: fmt.Sprintf("elastic floor exceeds MaxWorkers = %d", cfg.MaxWorkers),
-			}
-		}
-		if cfg.Workers != 0 && cfg.Workers != cfg.MaxWorkers {
-			return cfg, &ConfigError{
-				Field: "Workers", Value: cfg.Workers,
-				Reason: fmt.Sprintf("Workers conflicts with MaxWorkers = %d; leave Workers zero when sizing elastically", cfg.MaxWorkers),
-			}
-		}
-		cfg.Workers = cfg.MaxWorkers
-		if cfg.ScaleInterval <= 0 {
-			cfg.ScaleInterval = defaultScaleInterval
-		}
-	}
 	if cfg.Workers == 0 {
 		cfg.Workers = resolveWorkers(0)
 	}

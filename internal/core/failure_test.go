@@ -385,12 +385,14 @@ func TestErrorLatchSymmetry(t *testing.T) {
 // Drain with cooperative tenants: everyone closes in time, the pool
 // shuts down clean.
 func TestDrainVoluntary(t *testing.T) {
+	gate := newLeakGate(t)
 	pool, err := NewPool(PoolConfig{Workers: 2, MaxContexts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	for k := 0; k < 4; k++ {
+	ctxs := make([]*Context, 4)
+	for k := range ctxs {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
@@ -399,6 +401,7 @@ func TestDrainVoluntary(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			ctxs[k] = c
 			x := make([]float32, 8)
 			c.Submit(fillDef, Out(x), Value(float64(k)))
 			c.Submit(scaleDef, InOut(x), Value(2.0))
@@ -408,9 +411,13 @@ func TestDrainVoluntary(t *testing.T) {
 		}(k)
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
 	if err := pool.Drain(5 * time.Second); err != nil {
 		t.Fatalf("Drain = %v", err)
 	}
+	gate.check(ctxs...)
 	// Admissions are refused after Drain; the pool is closed.
 	if _, err := pool.NewContext(ContextConfig{}); err == nil {
 		t.Fatal("NewContext succeeded on a drained pool")
@@ -421,6 +428,7 @@ func TestDrainVoluntary(t *testing.T) {
 // tenant is canceled, its queue drains as skips, and the pool still
 // closes without wedging.
 func TestDrainForcesStragglers(t *testing.T) {
+	gate := newLeakGate(t)
 	pool, err := NewPool(PoolConfig{Workers: 2, MaxContexts: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -453,9 +461,7 @@ func TestDrainForcesStragglers(t *testing.T) {
 	if !c.Closed() {
 		t.Fatal("straggler not force-closed")
 	}
-	if live := c.Stats().LiveRenamedBytes; live != 0 {
-		t.Fatalf("LiveRenamedBytes = %d after forced drain", live)
-	}
+	gate.check(c)
 }
 
 // Canceled skips are visible in the trace and round-trip through the

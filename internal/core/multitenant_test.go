@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -19,12 +20,14 @@ func TestPoolSharedByConcurrentContexts(t *testing.T) {
 		chains  = 4
 		depth   = 60
 	)
+	gate := newLeakGate(t)
 	pool, err := NewPool(PoolConfig{Workers: 4, MaxContexts: clients})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
+	ctxs := make([]*Context, clients)
 	for k := 0; k < clients; k++ {
 		wg.Add(1)
 		go func(k int) {
@@ -34,6 +37,7 @@ func TestPoolSharedByConcurrentContexts(t *testing.T) {
 				errs[k] = err
 				return
 			}
+			ctxs[k] = c
 			defer c.Close()
 			// Each client owns its data: chains of fill + repeated scale,
 			// whose final values depend on every link running in order.
@@ -77,6 +81,7 @@ func TestPoolSharedByConcurrentContexts(t *testing.T) {
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
+	gate.check(ctxs...)
 }
 
 // TestBarrierIsolation pins the fairness contract: a barrier in one
@@ -85,6 +90,7 @@ func TestPoolSharedByConcurrentContexts(t *testing.T) {
 // work and the submitter's helping never executes another tenant's
 // tasks.
 func TestBarrierIsolation(t *testing.T) {
+	gate := newLeakGate(t)
 	pool, err := NewPool(PoolConfig{Workers: 2, MaxContexts: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -131,12 +137,14 @@ func TestBarrierIsolation(t *testing.T) {
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
+	gate.check(slow, fast)
 }
 
 // TestStatsIsolation pins per-context accounting: two tenants with
 // different workloads on one pool report exactly their own task,
 // rename and scheduler counters — nothing bleeds across.
 func TestStatsIsolation(t *testing.T) {
+	gate := newLeakGate(t)
 	pool, err := NewPool(PoolConfig{Workers: 2, MaxContexts: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -183,12 +191,14 @@ func TestStatsIsolation(t *testing.T) {
 			pushesA, aTasks, pushesB, 2*bRounds)
 	}
 	closeAll(t, pool, a, b)
+	gate.check(a, b)
 }
 
 // TestClosedSubmissionTypedErrors pins the error contract: submissions
 // to a closed context (and context creation on a closed pool) return a
 // ClosedError instead of panicking.
 func TestClosedSubmissionTypedErrors(t *testing.T) {
+	gate := newLeakGate(t)
 	pool, err := NewPool(PoolConfig{Workers: 1, MaxContexts: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -217,6 +227,7 @@ func TestClosedSubmissionTypedErrors(t *testing.T) {
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
+	gate.check(c)
 	if _, err := pool.NewContext(ContextConfig{}); !errors.As(err, &ce) || ce.Entity != "pool" {
 		t.Fatalf("NewContext on closed pool: %v, want *ClosedError{pool}", err)
 	}
@@ -237,6 +248,7 @@ func TestPoolSizingValidation(t *testing.T) {
 		t.Fatalf("oversized slots: %v, want *ConfigError", err)
 	}
 
+	gate := newLeakGate(t)
 	pool, err := NewPool(PoolConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -267,6 +279,7 @@ func TestPoolSizingValidation(t *testing.T) {
 		t.Fatalf("Close with open contexts: %v, want *ConfigError{Contexts}", err)
 	}
 	closeAll(t, pool, ctxs...)
+	gate.check(ctxs...)
 }
 
 // TestSharedTracerCarriesContextDimension checks a tracer shared by two
@@ -274,6 +287,7 @@ func TestPoolSizingValidation(t *testing.T) {
 // timeline stays attributable.
 func TestSharedTracerCarriesContextDimension(t *testing.T) {
 	tr := trace.New()
+	gate := newLeakGate(t)
 	pool, err := NewPool(PoolConfig{Workers: 1, MaxContexts: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -290,6 +304,7 @@ func TestSharedTracerCarriesContextDimension(t *testing.T) {
 	a.Submit(fillDef, Out(abuf), Value(1.0))
 	b.Submit(fillDef, Out(bbuf), Value(2.0))
 	closeAll(t, pool, a, b)
+	gate.check(a, b)
 
 	perCtx := map[int]int{}
 	for _, ev := range tr.Events() {
@@ -307,6 +322,7 @@ func TestSharedTracerCarriesContextDimension(t *testing.T) {
 // serves a context, exercising two independent instances of the whole
 // stack in one process.
 func TestRuntimeAndPoolCoexist(t *testing.T) {
+	gate := newLeakGate(t)
 	rt := New(Config{Workers: 2})
 	pool, err := NewPool(PoolConfig{Workers: 1, MaxContexts: 1})
 	if err != nil {
@@ -320,6 +336,7 @@ func TestRuntimeAndPoolCoexist(t *testing.T) {
 		t.Fatal(err)
 	}
 	closeAll(t, pool, c)
+	gate.check(c)
 	if rbuf[0] != 5 || cbuf[0] != 7 {
 		t.Fatalf("results crossed: runtime %g (want 5), context %g (want 7)", rbuf[0], cbuf[0])
 	}
@@ -352,6 +369,7 @@ func closeAll(t *testing.T, p *Pool, ctxs ...*Context) {
 // shared store.  The hazards are engineered (readers gated on a
 // channel), so every write renames and the counts are exact.
 func TestSharedStorageCrossTenantReuse(t *testing.T) {
+	gate := newLeakGate(t)
 	pool, err := NewPool(PoolConfig{Workers: 1, MaxContexts: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +401,8 @@ func TestSharedStorageCrossTenantReuse(t *testing.T) {
 		return st
 	}
 
-	first := churn(mustCtx(t, pool))
+	a := mustCtx(t, pool)
+	first := churn(a)
 	if first.Renames != objs {
 		t.Fatalf("first tenant renamed %d times, want %d", first.Renames, objs)
 	}
@@ -394,7 +413,8 @@ func TestSharedStorageCrossTenantReuse(t *testing.T) {
 		t.Fatalf("first tenant leaks %d live renamed bytes after barrier", first.LiveRenamedBytes)
 	}
 
-	second := churn(mustCtx(t, pool))
+	b := mustCtx(t, pool)
+	second := churn(b)
 	if second.Renames != objs {
 		t.Fatalf("second tenant renamed %d times, want %d", second.Renames, objs)
 	}
@@ -405,6 +425,7 @@ func TestSharedStorageCrossTenantReuse(t *testing.T) {
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
+	gate.check(a, b)
 }
 
 // TestRuntimeBatchKeepsClosedPanic pins Runtime API parity: a batch
@@ -421,4 +442,161 @@ func TestRuntimeBatchKeepsClosedPanic(t *testing.T) {
 		}
 	}()
 	b.Submit()
+}
+
+// TestPoolAccountsEveryTask is the no-lost-tasks invariant for tenants
+// sharing a fixed pool: four contexts submit random rename-heavy
+// programs in paced slices while one of them is canceled mid-flight.
+// For every tenant executed + poisoned + canceled must equal submitted,
+// with zero live renamed bytes once it has drained; the tenants left
+// running must still reproduce their sequential results.
+func TestPoolAccountsEveryTask(t *testing.T) {
+	const (
+		tenants = 4
+		nBufs   = 6
+		nOps    = 400
+		slice   = 50
+	)
+	type op struct {
+		kind, a, b int // kind 0 fill, 1 axpy, 2 scale
+		c          float64
+	}
+	progs := make([][]op, tenants)
+	for i := range progs {
+		rng := rand.New(rand.NewSource(int64(900 + i)))
+		for len(progs[i]) < nOps {
+			o := op{kind: rng.Intn(3), a: rng.Intn(nBufs), b: rng.Intn(nBufs), c: float64(rng.Intn(5)) + 0.5}
+			if o.kind == 1 && o.a == o.b {
+				continue
+			}
+			progs[i] = append(progs[i], o)
+		}
+	}
+	newBufs := func() [][]float32 {
+		bufs := make([][]float32, nBufs)
+		for i := range bufs {
+			bufs[i] = make([]float32, 64)
+		}
+		return bufs
+	}
+	submit := func(c *Context, ops []op, bufs [][]float32) error {
+		for _, o := range ops {
+			var err error
+			switch o.kind {
+			case 0:
+				err = c.Submit(fillDef, Out(bufs[o.a]), Value(o.c))
+			case 1:
+				err = c.Submit(axpyDef, In(bufs[o.a]), InOut(bufs[o.b]), Value(o.c))
+			default:
+				err = c.Submit(scaleDef, InOut(bufs[o.a]), Value(o.c))
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	sequential := func(ops []op) [][]float32 {
+		bufs := newBufs()
+		for _, o := range ops {
+			x, y := bufs[o.a], bufs[o.b]
+			for j := range x {
+				switch o.kind {
+				case 0:
+					x[j] = float32(o.c)
+				case 1:
+					y[j] += float32(o.c) * x[j]
+				default:
+					x[j] *= float32(o.c)
+				}
+			}
+		}
+		return bufs
+	}
+
+	gate := newLeakGate(t)
+	pool, err := NewPool(PoolConfig{Workers: 2, MaxContexts: tenants})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxs := make([]*Context, tenants)
+	for i := range ctxs {
+		ctxs[i] = mustCtx(t, pool)
+	}
+	// Tenant 0 is canceled mid-flight: after a few slices it queues a
+	// task holding every one of its buffers, then one more slice behind
+	// it, so the cancel certainly finds queued work to skip.
+	release, queued := make(chan struct{}), make(chan struct{})
+	hold := NewTaskDef("hold", func(a *Args) { <-release })
+	results := make([][][]float32, tenants)
+	errs := make([]error, tenants)
+	var wg sync.WaitGroup
+	for i, c := range ctxs {
+		wg.Add(1)
+		go func(i int, c *Context) {
+			defer wg.Done()
+			bufs := newBufs()
+			results[i] = bufs
+			for lo := 0; lo < nOps; lo += slice {
+				if i == 0 && lo == 3*slice {
+					close(queued)
+				}
+				if err := submit(c, progs[i][lo:lo+slice], bufs); err != nil {
+					// The canceled tenant's submissions start failing;
+					// its Barrier still drains the queued work as skips.
+					break
+				}
+				if i == 0 && lo == 1*slice {
+					args := make([]Arg, len(bufs))
+					for b := range bufs {
+						args[b] = InOut(bufs[b])
+					}
+					if err := c.Submit(hold, args...); err != nil {
+						break
+					}
+				}
+				time.Sleep(500 * time.Microsecond)
+			}
+			errs[i] = c.Barrier()
+		}(i, c)
+	}
+	<-queued
+	ctxs[0].Cancel() // one tenant aborts while the others keep submitting
+	close(release)
+	wg.Wait()
+
+	for i, c := range ctxs {
+		st := c.Stats()
+		if st.TasksExecuted+st.Poisoned+st.Canceled != st.TasksSubmitted {
+			t.Errorf("tenant %d: executed %d + poisoned %d + canceled %d != submitted %d",
+				i, st.TasksExecuted, st.Poisoned, st.Canceled, st.TasksSubmitted)
+		}
+		err := c.Close()
+		if i == 0 {
+			var ce *CanceledError
+			if !errors.As(errs[i], &ce) {
+				t.Errorf("canceled tenant: Barrier returned %v, want *CanceledError", errs[i])
+			}
+			if st.Canceled == 0 {
+				t.Errorf("canceled tenant skipped no tasks: %+v", st)
+			}
+			continue
+		}
+		if errs[i] != nil || err != nil {
+			t.Errorf("tenant %d: Barrier %v, Close %v", i, errs[i], err)
+			continue
+		}
+		want := sequential(progs[i])
+		for b := range want {
+			for j := range want[b] {
+				if results[i][b][j] != want[b][j] {
+					t.Fatalf("tenant %d: buf[%d][%d] = %v, want %v", i, b, j, results[i][b][j], want[b][j])
+				}
+			}
+		}
+	}
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gate.check(ctxs...)
 }

@@ -63,10 +63,8 @@ type classBucket struct {
 type Storage struct {
 	classes sync.Map // classKey -> *classBucket
 
-	// maxFree is the per-class free-list bound.  Atomic because the
-	// elastic pool rescales it as workers retire and unretire while
-	// releases are in flight.
-	maxFree atomic.Int64
+	// maxFree is the per-class free-list bound, fixed at construction.
+	maxFree int64
 
 	releases, drops atomic.Int64
 	freeBytes       atomic.Int64
@@ -82,42 +80,7 @@ func NewStorageShared(tenants int) *Storage {
 	if tenants < 1 {
 		tenants = 1
 	}
-	s := &Storage{}
-	s.maxFree.Store(int64(tenants) * maxFreePerClass)
-	return s
-}
-
-// Rescale adjusts the per-class free-list bound to units tenants' worth
-// of capacity and trims every bucket now over the bound, dropping the
-// excess to the garbage collector.  The elastic pool calls it as
-// workers retire and unretire, so a shrunken team does not keep pinning
-// the free-list headroom the full team deserved; a fixed-size pool
-// never calls it.
-func (s *Storage) Rescale(units int) {
-	if units < 1 {
-		units = 1
-	}
-	bound := units * maxFreePerClass
-	s.maxFree.Store(int64(bound))
-	s.classes.Range(func(_, v any) bool {
-		b := v.(*classBucket)
-		var dropped, bytes int64
-		b.mu.Lock()
-		for len(b.free) > bound {
-			inst := b.free[len(b.free)-1]
-			b.free[len(b.free)-1] = nil
-			b.free = b.free[:len(b.free)-1]
-			_, sz := classOf(inst)
-			bytes += sz
-			dropped++
-		}
-		b.mu.Unlock()
-		if dropped > 0 {
-			s.drops.Add(dropped)
-			s.freeBytes.Add(-bytes)
-		}
-		return true
-	})
+	return &Storage{maxFree: int64(tenants) * maxFreePerClass}
 }
 
 // FreeBytes returns the storage idling on the free lists.
@@ -160,7 +123,7 @@ func (s *Storage) put(key classKey, inst any, bytes int64) {
 	b := s.bucket(key, true)
 	kept := false
 	b.mu.Lock()
-	if len(b.free) < int(s.maxFree.Load()) {
+	if int64(len(b.free)) < s.maxFree {
 		b.free = append(b.free, inst)
 		kept = true
 	}
